@@ -18,15 +18,7 @@ process-based DES style (generators yielding events)::
     env.run(until=3.5)
 """
 
-from repro.des.calendar import CalendarQueue
-from repro.des.core import (
-    CORES,
-    EmptySchedule,
-    Environment,
-    Process,
-    default_core,
-    set_default_core,
-)
+from repro.des.core import EmptySchedule, Environment, Process
 from repro.des.probe import (
     CountingProbe,
     MultiProbe,
@@ -43,15 +35,12 @@ from repro.des.events import (
     Interrupt,
     Timeout,
 )
-from repro.des.partition import Partition, partition_nodes
 from repro.des.resources import Container, Request, Resource, Store
 from repro.des.rng import RngRegistry
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CORES",
-    "CalendarQueue",
     "Condition",
     "ConditionValue",
     "Container",
@@ -61,7 +50,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "MultiProbe",
-    "Partition",
     "PeriodicSampler",
     "Probe",
     "Process",
@@ -71,7 +59,4 @@ __all__ = [
     "Store",
     "Timeout",
     "attach_probe",
-    "default_core",
-    "partition_nodes",
-    "set_default_core",
 ]

@@ -17,11 +17,9 @@ monotonically increasing sequence number.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
 
-from repro.des.calendar import CalendarQueue
 from repro.des.events import (
     NORMAL,
     AllOf,
@@ -38,31 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ProcessGenerator = Generator[Event, Any, Any]
 
-#: Valid event-core names for :class:`Environment`.
-CORES = ("heap", "calendar")
-
-# Session override for the default event core; ``None`` defers to the
-# ``REPRO_DES_CORE`` environment variable (and ultimately to "heap").
-_default_core: Optional[str] = None
-
-
-def set_default_core(core: Optional[str]) -> None:
-    """Set the event core used when ``Environment(core=None)``.
-
-    Pass ``None`` to fall back to the ``REPRO_DES_CORE`` environment
-    variable (default ``"heap"``).
-    """
-    if core is not None and core not in CORES:
-        raise ValueError(f"unknown DES core {core!r}; expected one of {CORES}")
-    global _default_core
-    _default_core = core
-
 
 def default_core() -> str:
-    """The event core used when an :class:`Environment` does not name one."""
-    if _default_core is not None:
-        return _default_core
-    return os.environ.get("REPRO_DES_CORE", "heap")
+    """Name of the event core. The binary heap is the only one; this stays
+    so run fingerprints that record the core keep their field."""
+    return "heap"
 
 
 class EmptySchedule(SimulationError):
@@ -230,16 +208,12 @@ class Environment:
         probe: Optional["Probe"] = None,
         core: Optional[str] = None,
     ) -> None:
-        if core is None:
-            core = default_core()
-        if core not in CORES:
-            raise ValueError(f"unknown DES core {core!r}; expected one of {CORES}")
+        # ``core`` only keeps callers that pass it positionally working;
+        # the heap is the sole event core.
+        if core not in (None, "heap"):
+            raise ValueError(f"unknown DES core {core!r}; the only core is 'heap'")
         self._now = float(initial_time)
-        self.core = core
-        # Both cores hold ``(time, priority, seq, event)`` entries and
-        # serve them in identical tuple order; dispatch is by concrete
-        # type (``type(q) is list``) so the heap path stays branch-cheap.
-        self._queue: Any = [] if core == "heap" else CalendarQueue()
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_proc: Optional[Process] = None
         self.probe = probe
@@ -282,30 +256,20 @@ class Environment:
         at = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        queue = self._queue
-        if type(queue) is list:
-            heappush(queue, (at, priority, seq, event))
-        else:
-            queue.push((at, priority, seq, event))
+        heappush(self._queue, (at, priority, seq, event))
         if self.probe is not None:
             self.probe.on_schedule(self, event, at, priority)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        queue = self._queue
-        if type(queue) is list:
-            return queue[0][0] if queue else float("inf")
-        return queue.peek_time()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the next event on the calendar."""
         queue = self._queue
         if not queue:
             raise EmptySchedule("no scheduled events remain")
-        if type(queue) is list:
-            self._now, _, _, event = heappop(queue)
-        else:
-            self._now, _, _, event = queue.pop()
+        self._now, _, _, event = heappop(queue)
 
         if self.probe is not None:
             self.probe.on_step(self, self._now, event)
@@ -341,11 +305,7 @@ class Environment:
                 stop_event._ok = True
                 stop_event._value = None
                 stop_event._triggered = True
-                entry = (at, 0, -1, stop_event)
-                if type(self._queue) is list:
-                    heappush(self._queue, entry)
-                else:
-                    self._queue.push(entry)
+                heappush(self._queue, (at, 0, -1, stop_event))
 
         if stop_event is not None:
             if stop_event._processed:
@@ -358,50 +318,26 @@ class Environment:
         # The event loop is inlined here (rather than calling self.step()
         # per event) — at hundreds of thousands of events per run the
         # method-call overhead dominates. Semantics are identical to
-        # step(); the probe hook keeps its exact call points. Each core
-        # gets its own loop so the hot path carries no per-event
-        # type dispatch: the heap loop indexes a plain list, the
-        # calendar loop calls the queue's bound ``pop`` and turns its
-        # IndexError into the same EmptySchedule as an empty heap.
+        # step(); the probe hook keeps its exact call points.
         queue = self._queue
+        pop = heappop
         try:
-            if type(queue) is list:
-                pop = heappop
-                while True:
-                    if not queue:
-                        raise EmptySchedule("no scheduled events remain")
-                    self._now, _, _, event = pop(queue)
+            while True:
+                if not queue:
+                    raise EmptySchedule("no scheduled events remain")
+                self._now, _, _, event = pop(queue)
 
-                    if self.probe is not None:
-                        self.probe.on_step(self, self._now, event)
+                if self.probe is not None:
+                    self.probe.on_step(self, self._now, event)
 
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                for callback in callbacks:
+                    callback(event)
 
-                    if not event._ok and not callbacks:
-                        raise event._value
-            else:
-                pop_entry = queue.pop
-                while True:
-                    try:
-                        self._now, _, _, event = pop_entry()
-                    except IndexError:
-                        raise EmptySchedule("no scheduled events remain") from None
-
-                    if self.probe is not None:
-                        self.probe.on_step(self, self._now, event)
-
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-
-                    if not event._ok and not callbacks:
-                        raise event._value
+                if not event._ok and not callbacks:
+                    raise event._value
         except EmptySchedule:
             if stop_event is not None and not stop_event._processed:
                 if isinstance(until, Event):

@@ -148,11 +148,7 @@ class Timeout(Event):
         at = env._now + delay
         seq = env._seq
         env._seq = seq + 1
-        queue = env._queue
-        if type(queue) is list:
-            heappush(queue, (at, NORMAL, seq, self))
-        else:
-            queue.push((at, NORMAL, seq, self))
+        heappush(env._queue, (at, NORMAL, seq, self))
         if env.probe is not None:
             env.probe.on_schedule(env, self, at, NORMAL)
 

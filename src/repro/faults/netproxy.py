@@ -170,6 +170,9 @@ class ChaosProxy:
         self._socks: set[socket.socket] = set()
         self._lock = threading.Lock()
         #: Injection counters, for assertions and artifacts.
+        #: ``relayed_bytes`` counts bytes handed to the destination socket;
+        #: it moves *before* each ``sendall`` so it is never behind what a
+        #: peer can already have received.
         self.stats: dict[str, int] = {
             "accepted": 0,
             "refused": 0,
@@ -326,6 +329,7 @@ class ChaosProxy:
                 keep = int(rng.integers(0, len(data))) if len(data) > 1 else 0
                 self._count("cut")
                 if keep:
+                    self._count("relayed_bytes", keep)
                     try:
                         dst.sendall(data[:keep])
                     except OSError:
@@ -340,14 +344,15 @@ class ChaosProxy:
             try:
                 if trickled:
                     for i in range(len(data)):
+                        self._count("relayed_bytes", 1)
                         dst.sendall(data[i : i + 1])
                         if self.chaos.trickle_delay:
                             time.sleep(self.chaos.trickle_delay)
                 else:
+                    self._count("relayed_bytes", len(data))
                     dst.sendall(data)
             except OSError:
                 break
-            self._count("relayed_bytes", len(data))
         # EOF (or error) on one side: half-close towards the other so
         # in-flight replies still drain, then let the peer thread finish.
         try:

@@ -40,13 +40,6 @@ def _payload(cpu_model="cpu-a", cpu_count=4, events_per_sec=1000.0):
                 "seconds": 100.0 / events_per_sec,
                 "events_per_sec": events_per_sec,
             },
-            "shard_scaling": {
-                "shards": 2.0,
-                "serial_seconds": 1.0,
-                "sharded_seconds": 0.6,
-                "speedup": 1.0 / 0.6,
-                "identical": 1.0,
-            },
         },
         "experiments": {"fig3": {"seconds": 2.0}},
         "peak_rss_bytes": 50_000_000,
@@ -74,21 +67,16 @@ def test_fingerprint_flags_pre_schema_baseline():
 
 
 def test_check_regression_skips_entries_without_events_per_sec():
-    # shard_scaling has no events/sec; it must never trip (or crash) the
-    # regression gate, and a real throughput drop still must.
+    # Older baselines carry a shard_scaling row with no events/sec; it must
+    # never trip (or crash) the regression gate, and a real throughput drop
+    # still must.
     current = _payload(events_per_sec=100.0)
     baseline = _payload(events_per_sec=1000.0)
+    baseline["des"]["shard_scaling"] = {"shards": 2.0, "speedup": 0.44}
     failures = check_regression(current, baseline)
     assert len(failures) == 1
     assert "event_throughput" in failures[0]
     assert check_regression(baseline, baseline) == []
-
-
-def test_delta_table_reports_shard_scaling_speedup():
-    table = delta_table(_payload(), _payload())
-    assert "des.event_throughput" in table
-    assert "shard_scaling" in table
-    assert "speedup" in table
 
 
 def _run_check(tmp_path, monkeypatch, current, baseline):
@@ -124,3 +112,26 @@ def test_check_downgrades_to_warning_on_foreign_baseline(
     assert "environment mismatch" in err
     assert "PERF WARNING (foreign baseline)" in err
     assert "PERF REGRESSION" not in err
+
+
+def test_baseline_with_retired_rows_is_ignored_cleanly(tmp_path, monkeypatch, capsys):
+    # Baselines recorded before the calendar core and the sharded runtime
+    # were removed (BENCH_2026-08-08_2.json) still carry their rows; the
+    # delta table and --check must skip them without crashing or gating.
+    baseline = _payload()
+    baseline["des"]["calendar_throughput"] = dict(baseline["des"]["event_throughput"])
+    baseline["des"]["shard_scaling"] = {
+        "identical": 1.0,
+        "serial_seconds": 0.58,
+        "sharded_seconds": 1.33,
+        "shards": 2.0,
+        "speedup": 0.44,
+    }
+    table = delta_table(_payload(), baseline)
+    assert "des.event_throughput" in table
+    assert "calendar_throughput" not in table
+    assert "shard_scaling" not in table
+    assert check_regression(_payload(), baseline) == []
+
+    assert _run_check(tmp_path, monkeypatch, current=_payload(), baseline=baseline) == 0
+    assert "PERF REGRESSION" not in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import EmptySchedule, Environment, Interrupt
+from repro.des.core import default_core
 from repro.errors import SimulationError
 
 
@@ -56,6 +57,31 @@ def test_run_until_time_stops_clock_exactly():
     env.process(proc(env))
     env.run(until=3.5)
     assert env.now == 3.5
+
+
+def test_run_until_and_step():
+    env = Environment()
+    ticks = []
+
+    def clock():
+        while True:
+            yield env.timeout(1.0)
+            ticks.append(env.now)
+
+    env.process(clock())
+    env.run(until=3.5)
+    assert ticks == [1.0, 2.0, 3.0]
+    # step() keeps working after run(until): the 4.0 tick is pending.
+    env.step()
+    env.step()
+    assert ticks[-2:] == [4.0, 5.0]
+
+
+def test_heap_is_the_only_core():
+    assert default_core() == "heap"
+    assert Environment(0.0, None, "heap").now == 0.0
+    with pytest.raises(ValueError):
+        Environment(core="calendar")
 
 
 def test_run_until_past_raises():

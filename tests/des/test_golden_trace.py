@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.des import CORES, set_default_core
 from tests.des.goldens import GOLDEN_PATH, RECORDERS
 
 
@@ -21,18 +20,8 @@ def _golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())["digests"]
 
 
-@pytest.fixture(params=sorted(CORES))
-def core(request):
-    """Run the golden workloads under every event core."""
-    set_default_core(request.param)
-    try:
-        yield request.param
-    finally:
-        set_default_core(None)
-
-
 @pytest.mark.parametrize("name", sorted(RECORDERS))
-def test_trace_matches_pre_optimization_golden(name, core):
+def test_trace_matches_pre_optimization_golden(name):
     golden = _golden()
     assert name in golden, (
         f"no golden digest for {name!r}; regenerate with "
@@ -40,8 +29,8 @@ def test_trace_matches_pre_optimization_golden(name, core):
     )
     current = RECORDERS[name]()
     assert current == golden[name], (
-        f"event trace for {name!r} on the {core!r} core diverged from the "
-        f"pre-optimization golden ({current['schedules']} schedules / "
-        f"{current['steps']} steps vs {golden[name]['schedules']} / "
-        f"{golden[name]['steps']}); the engine is no longer bit-identical"
+        f"event trace for {name!r} diverged from the pre-optimization "
+        f"golden ({current['schedules']} schedules / {current['steps']} steps "
+        f"vs {golden[name]['schedules']} / {golden[name]['steps']}); "
+        "the engine is no longer bit-identical"
     )
